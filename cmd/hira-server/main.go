@@ -59,7 +59,6 @@ var (
 	queue     = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 	traceDir  = flag.String("traces", "", "directory of recorded trace files job specs may reference (empty rejects trace workloads)")
 	snapIvl   = flag.Int("snap-interval", 10000, "ticks between simulation checkpoints; resubmitting a sweep with longer horizons then simulates only the delta (0 disables; differential checkpoints keep fine intervals cheap)")
-	noPlanner = flag.Bool("no-planner", false, "disable the trajectory-coalescing sweep planner engine-wide (results are bit-identical; debugging escape hatch)")
 	snapMax   = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB on disk, 256 MiB in memory)")
 	journal   = flag.String("journal", "", "durable live-job journal file; restarted servers re-enqueue interrupted jobs from it")
 	faults    = flag.String("faults", "", "storage fault-injection rules, comma-separated site:kind[:prob[:count]] (env HIRA_FAULTS)")
@@ -123,7 +122,6 @@ func run() int {
 			SnapInterval: *snapIvl,
 			SnapMaxBytes: *snapMax,
 			FS:           fsys,
-			NoPlanner:    *noPlanner,
 		},
 		Workers:     *workers,
 		QueueDepth:  *queue,

@@ -50,7 +50,6 @@ var (
 	results    = flag.String("results", "", "directory for per-cell JSON results (reused across runs)")
 	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints; rerunning with longer -ticks/-warmup then simulates only the delta (0 disables)")
 	snapMax    = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB on disk, 256 MiB in memory)")
-	noPlanner  = flag.Bool("no-planner", false, "disable the trajectory-coalescing sweep planner (results are bit-identical; debugging escape hatch)")
 	progress   = flag.Bool("progress", false, "print per-batch cell progress to stderr")
 	forensics  = flag.Bool("forensics", false, "attach the RowHammer activation ledger; per-policy forensics summaries print after each table (and ride figure rows in -json)")
 	forensicsR = flag.Bool("forensics-recorder", false, "arm the DRAM command flight recorder around top-threshold crossings (requires -forensics)")
@@ -149,7 +148,6 @@ func opts() hira.SimOptions {
 		Mixes: mixSet, Parallelism: *parallel, ResultDir: *results, Stats: &engineStats,
 		SnapInterval: *snapIvl, SnapMaxBytes: *snapMax,
 		Forensics: *forensics, ForensicsRecorder: *forensicsR,
-		NoPlanner: *noPlanner,
 	}
 	if *progress {
 		o.Progress = func(done, total int) {

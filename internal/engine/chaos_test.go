@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,10 +29,10 @@ func chaosCells(n int, runs *atomic.Int64) []Cell[int] {
 	cells := make([]Cell[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		cells[i] = Cell[int]{Key: fmt.Sprintf("chaos/c%d", i), Run: func(context.Context) (int, error) {
+		cells[i] = single(fmt.Sprintf("chaos/c%d", i), func(context.Context) (int, error) {
 			runs.Add(1)
 			return i*i + 1, nil
-		}}
+		})
 	}
 	return cells
 }
@@ -94,20 +95,12 @@ func TestChaosStoreFaultMatrix(t *testing.T) {
 
 			switch tc.rule.Site {
 			case fault.SiteStoreRead:
-				// Every load failed or was corrupted, so almost every cell
-				// re-simulates. Corrupt allows rare store hits: a flip that
-				// lands inside the envelope's own field name demotes the
-				// file to a legacy sum-less cell with an intact payload — a
-				// correct serve (assertChaosResults above is the real
-				// contract). EIO permits no such escape.
-				if stats.Simulated+stats.StoreHits != n {
-					t.Errorf("read faults: stats %+v do not cover all %d cells", stats, n)
-				}
-				if tc.rule.Kind == fault.EIO && stats.Simulated != n {
-					t.Errorf("EIO reads: stats %+v, want %d simulated", stats, n)
-				}
-				if stats.Simulated == 0 {
-					t.Errorf("read faults: nothing re-simulated (stats %+v)", stats)
+				// Every load failed or was corrupted, so every cell
+				// re-simulates: a corrupted file fails its parse, its key,
+				// or its checksum — and a flip inside the envelope's own
+				// "sum" field name leaves a sum-less cell, a miss too.
+				if stats.Simulated != n || stats.StoreHits != 0 {
+					t.Errorf("read faults: stats %+v, want %d simulated", stats, n)
 				}
 			case fault.SiteStoreWrite:
 				// Persistent write failures: the first storeDegradeAfter
@@ -214,6 +207,20 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 	if stats.StoreHits != 0 || stats.Simulated != 1 {
 		t.Errorf("stats = %+v, want the damaged cell to read as a miss", stats)
 	}
+
+	// A sum-less cell — valid JSON, right key, intact result, no
+	// checksum — is a miss too: without a sum the result is unverified.
+	sumless, err := json.Marshal(map[string]any{"key": cell.Key, "result": 1234})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], sumless, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e3 := New[int](Options{Parallelism: 1, ResultDir: dir})
+	if _, stats, err := e3.Run(context.Background(), []Cell[int]{cell}); err != nil || stats.StoreHits != 0 || stats.Simulated != 1 {
+		t.Errorf("sum-less cell: stats %+v, err %v, want a miss and a re-simulation", stats, err)
+	}
 }
 
 // TestChaosCellPanicIsolation asserts a panicking cell fails its batch
@@ -222,8 +229,8 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 func TestChaosCellPanicIsolation(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	cells := []Cell[int]{
-		{Key: "fine", Run: func(context.Context) (int, error) { return 1, nil }},
-		{Key: "bomb", Run: func(context.Context) (int, error) { panic("simulated model invariant violation") }},
+		single("fine", func(context.Context) (int, error) { return 1, nil }),
+		single("bomb", func(context.Context) (int, error) { panic("simulated model invariant violation") }),
 	}
 	_, _, err := e.Run(context.Background(), cells)
 	if err == nil {
@@ -241,7 +248,7 @@ func TestChaosCellPanicIsolation(t *testing.T) {
 	}
 	// The engine survives: the same key re-runs cleanly.
 	got, _, err := e.Run(context.Background(), []Cell[int]{
-		{Key: "bomb", Run: func(context.Context) (int, error) { return 7, nil }},
+		single("bomb", func(context.Context) (int, error) { return 7, nil }),
 	})
 	if err != nil || got[0] != 7 {
 		t.Errorf("engine unusable after panic: got %v, err %v", got, err)
@@ -417,11 +424,11 @@ func TestChaosSnapStoreUnwritableRootFallsBack(t *testing.T) {
 }
 
 // TestChaosSnapChecksumEnvelopeRoundTrip pins the envelope format: a
-// wrapped payload unwraps to the same bytes, damage anywhere inside is
-// rejected, and legacy (unwrapped) payloads pass through for the
-// consumer's own validation.
+// wrapped payload unwraps to the same bytes, damage anywhere inside —
+// the magic included — is rejected, and so is a payload without the
+// envelope.
 func TestChaosSnapChecksumEnvelopeRoundTrip(t *testing.T) {
-	payload := []byte("HIRASYS1 pretend snapshot state bytes")
+	payload := []byte("HIRASYS2 pretend snapshot state bytes")
 	wrapped := wrapSnapSum(payload)
 	got, ok := unwrapSnapSum(wrapped)
 	if !ok || string(got) != string(payload) {
@@ -430,18 +437,14 @@ func TestChaosSnapChecksumEnvelopeRoundTrip(t *testing.T) {
 	for i := range wrapped {
 		damaged := append([]byte(nil), wrapped...)
 		damaged[i] ^= 0xA5
-		out, ok := unwrapSnapSum(damaged)
-		if !ok {
-			continue // rejected: good
-		}
-		// Accepted: only legal if the magic itself was damaged, which
-		// demotes the blob to a legacy passthrough.
-		if i >= len(snapSumMagic) {
+		if out, ok := unwrapSnapSum(damaged); ok {
 			t.Fatalf("byte %d flip accepted as valid envelope (payload %q)", i, out)
 		}
 	}
-	legacy, ok := unwrapSnapSum(payload)
-	if !ok || string(legacy) != string(payload) {
-		t.Fatalf("legacy passthrough = (%q, %v)", legacy, ok)
+	if out, ok := unwrapSnapSum(payload); ok {
+		t.Fatalf("unwrapped payload accepted (%q)", out)
+	}
+	if out, ok := unwrapSnapSum(wrapped[:len(snapSumMagic)+1]); ok {
+		t.Fatalf("truncated envelope accepted (%q)", out)
 	}
 }

@@ -42,53 +42,42 @@ import (
 	"hira/internal/telemetry"
 )
 
-// Cell is one addressable, schedulable, memoizable unit of work.
+// Cell is one addressable, schedulable, memoizable unit of work. Every
+// cell runs as a member of a pass: cells submitted in one batch with
+// equal non-empty Groups (same simulation trajectory, different
+// horizons) are coalesced into one pass — a single simulation to the
+// group's maximum horizon that emits each member's finished result as it
+// crosses that member's horizon — and a cell with an empty Group is a
+// one-member pass of its own.
 type Cell[R any] struct {
 	// Key is the cell's content key: it must encode every input the
 	// computation depends on (configuration, policy, workload, seeds,
 	// tick counts), because equal keys share one result.
 	Key string
-	// Run computes the cell. It must be deterministic given Key and must
-	// not share mutable state with other cells. Long computations should
-	// poll ctx and return ctx.Err() to honor cancellation promptly; the
-	// result of a cancelled Run is discarded, never cached or stored.
-	Run func(ctx context.Context) (R, error)
-	// Plan, when non-nil, lets the sweep planner coalesce this cell with
-	// others sharing the same Plan.Group into a single pass. Run remains
-	// mandatory: it is the fallback when the planner is disabled, the
-	// group degenerates to one pending cell, or the cell must be
-	// resolved individually (e.g. it was in flight elsewhere when its
-	// group's pass was formed).
-	Plan *Plan[R]
-}
-
-// Plan marks a cell as coalescible: cells submitted in one batch with
-// equal Group keys (same simulation trajectory, different horizons) are
-// run as one pass — a single simulation to the group's maximum horizon
-// that emits each member's finished result as it passes that member's
-// horizon — instead of one restore-and-extend per cell.
-type Plan[R any] struct {
-	// Group identifies the shared trajectory. Cells whose results would
-	// not be produced by one continuous run must not share a group.
+	// Group identifies the shared trajectory; empty means the cell is
+	// its own group. Cells whose results would not be produced by one
+	// continuous run must not share a group.
 	Group string
 	// Horizon orders members within a group, ascending; it is the tick
 	// the member's result is emitted at.
 	Horizon int
-	// Payload is opaque per-member context handed back to RunPass.
+	// Payload is opaque per-member context handed back to Run.
 	Payload any
-	// RunPass executes one coalesced pass over members (sorted by
-	// ascending Horizon; a subset of the group — members already
-	// resolved from the cache or store are excluded). It must call
-	// emit(i, r) with member i's result when the simulation crosses
+	// Run executes one pass over members (sorted by ascending Horizon; a
+	// subset of the group — members already resolved from the cache or
+	// store are excluded). It must be deterministic given the members'
+	// keys, must not share mutable state with other passes, and must
+	// call emit(i, r) with member i's result when the simulation crosses
 	// members[i].Horizon; each emission is cached, persisted, and
 	// released to singleflight waiters immediately, so a pass failing
-	// (or cancelled) midway keeps every row it already emitted. Every
-	// group member's RunPass must be interchangeable.
-	RunPass func(ctx context.Context, members []PlanMember, emit func(i int, r R)) error
+	// (or cancelled) midway keeps every row it already emitted. Long
+	// passes should poll ctx and return ctx.Err() to honor cancellation
+	// promptly. Every group member's Run must be interchangeable.
+	Run func(ctx context.Context, members []Member, emit func(i int, r R)) error
 }
 
-// PlanMember is one pending cell of a coalesced pass.
-type PlanMember struct {
+// Member is one pending cell of a pass.
+type Member struct {
 	Key     string
 	Horizon int
 	Payload any
@@ -116,17 +105,17 @@ type Stats struct {
 	Resumed      uint64 `json:"resumed"`
 	ResumedTicks uint64 `json:"resumed_ticks"`
 
-	// PlannedPasses counts coalesced passes executed by the sweep
-	// planner and PlannedCells the cells those passes emitted; their
-	// ratio is the coalescing factor. SimulatedTicks accumulates ticks
-	// actually stepped by cell computations (reported via
-	// MarkSimulated), on both the planned and per-cell paths — together
-	// with ResumedTicks it prices what planning and checkpoints saved.
+	// PlannedPasses counts the passes run for groups of two or more of
+	// a batch's cells, and PlannedCells the cells those passes emitted;
+	// their ratio is the coalescing factor (a lone cell's one-member
+	// pass counts in neither). SimulatedTicks accumulates ticks actually
+	// stepped by passes (reported via MarkSimulated) — together with
+	// ResumedTicks it prices what planning and checkpoints saved.
 	PlannedPasses  uint64 `json:"planned_passes"`
 	PlannedCells   uint64 `json:"planned_cells"`
 	SimulatedTicks uint64 `json:"simulated_ticks"`
 
-	// Panics counts cells whose Run panicked. The engine converts each
+	// Panics counts passes whose Run panicked. The engine converts each
 	// panic into an ordinary cell error carrying the stack trace — the
 	// batch fails, the process survives — and tallies it here so a
 	// recovered-from bug is still visible on /metrics.
@@ -157,12 +146,12 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// resumeNoteKey carries the per-computation resume note through the
-// context handed to Cell.Run.
+// resumeNoteKey carries the per-pass resume note through the context
+// handed to Cell.Run.
 type resumeNoteKey struct{}
 
-// resumeNote is written by the cell (via MarkResumed) and read by the
-// engine after Run returns; the computation runs synchronously on one
+// resumeNote is written by the pass (via MarkResumed) and read by the
+// engine after Run returns; the pass runs synchronously on one
 // goroutine, so no synchronization is needed.
 type resumeNote struct {
 	resumed   bool
@@ -170,11 +159,11 @@ type resumeNote struct {
 	simulated uint64
 }
 
-// MarkResumed records that the cell computation running under ctx
-// restored a checkpoint covering the first `ticks` simulated ticks
-// instead of starting cold. The engine tallies it in Stats.Resumed /
+// MarkResumed records that the pass running under ctx restored a
+// checkpoint covering the first `ticks` simulated ticks instead of
+// starting cold. The engine tallies it in Stats.Resumed /
 // Stats.ResumedTicks so operators can see sweeps being answered by
-// incremental simulation. Outside an engine-run cell it is a no-op.
+// incremental simulation. Outside an engine-run pass it is a no-op.
 func MarkResumed(ctx context.Context, ticks int) {
 	if n, ok := ctx.Value(resumeNoteKey{}).(*resumeNote); ok {
 		n.resumed = true
@@ -182,9 +171,9 @@ func MarkResumed(ctx context.Context, ticks int) {
 	}
 }
 
-// MarkSimulated accumulates `ticks` ticks actually stepped by the cell
-// computation running under ctx, tallied in Stats.SimulatedTicks.
-// Outside an engine-run cell it is a no-op.
+// MarkSimulated accumulates `ticks` ticks actually stepped by the pass
+// running under ctx, tallied in Stats.SimulatedTicks. Outside an
+// engine-run pass it is a no-op.
 func MarkSimulated(ctx context.Context, ticks int) {
 	if n, ok := ctx.Value(resumeNoteKey{}).(*resumeNote); ok && ticks > 0 {
 		n.simulated += uint64(ticks)
@@ -193,7 +182,7 @@ func MarkSimulated(ctx context.Context, ticks int) {
 
 // Options configures an engine.
 type Options struct {
-	// Parallelism bounds the number of cells computing at once; <= 0
+	// Parallelism bounds the number of passes computing at once; <= 0
 	// means runtime.NumCPU(). The bound is engine-wide: concurrent Run
 	// batches share it rather than multiplying it.
 	Parallelism int
@@ -220,11 +209,6 @@ type Options struct {
 	// singleflight observations (see Metrics). Count-style tallies stay
 	// in Stats; expose those via RegisterStatsFuncs.
 	Metrics *Metrics
-	// NoPlanner disables the sweep planner engine-wide: cells' Plan
-	// metadata is ignored and every cell resolves individually. Results
-	// are bit-identical either way; this exists for debugging and A/B
-	// measurement.
-	NoPlanner bool
 }
 
 // RunOptions configures one Run batch on a shared engine.
@@ -236,8 +220,6 @@ type RunOptions struct {
 	// streaming consumers can report cache hits and resumed ticks while
 	// the batch is still running, not just at the end.
 	OnProgressStats func(done, total int, batch Stats)
-	// NoPlanner disables the sweep planner for this batch only.
-	NoPlanner bool
 }
 
 // flight is one in-progress cell computation other batches can wait on.
@@ -350,34 +332,27 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	b.stats.Submitted = uint64(len(cells))
 	b.stats.Deduped = uint64(len(cells) - len(order))
 
-	// Sweep planning: partition the unique keys into dispatch units —
-	// single cells, plus one unit per Plan group with two or more
-	// pending cells, its members ordered by ascending horizon so the
-	// coalesced pass emits them as it advances. Units keep the groups'
-	// first-appearance order; a singleton group degenerates to the
-	// ordinary per-cell path, making planning a no-op for today's
-	// single-horizon batches.
-	noPlanner := e.opts.NoPlanner || ropts.NoPlanner
+	// Sweep planning: partition the unique keys into dispatch units, one
+	// per group (a cell with an empty Group is a group of its own), its
+	// members ordered by ascending horizon so the pass emits them as it
+	// advances. Units keep the groups' first-appearance order.
 	units := make([][]string, 0, len(order))
 	groupIdx := make(map[string]int)
 	for _, key := range order {
-		c := rep[key]
-		if noPlanner || c.Plan == nil || c.Plan.Group == "" || c.Plan.RunPass == nil {
-			units = append(units, []string{key})
+		g := rep[key].Group
+		if gi, ok := groupIdx[g]; ok {
+			units[gi] = append(units[gi], key)
 			continue
 		}
-		gi, ok := groupIdx[c.Plan.Group]
-		if !ok {
-			groupIdx[c.Plan.Group] = len(units)
-			units = append(units, []string{key})
-			continue
+		if g != "" {
+			groupIdx[g] = len(units)
 		}
-		units[gi] = append(units[gi], key)
+		units = append(units, []string{key})
 	}
 	for _, u := range units {
 		if len(u) > 1 {
 			sort.SliceStable(u, func(i, j int) bool {
-				return rep[u[i]].Plan.Horizon < rep[u[j]].Plan.Horizon
+				return rep[u[i]].Horizon < rep[u[j]].Horizon
 			})
 		}
 	}
@@ -410,20 +385,7 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 				if b.abortedOrDone(ctx) {
 					continue
 				}
-				if len(unit) > 1 {
-					e.resolveGroup(ctx, unit, rep, positions, results, b, progress)
-					continue
-				}
-				key := unit[0]
-				r, err := e.resolve(ctx, rep[key], b)
-				if err != nil {
-					b.fail(err)
-					continue
-				}
-				for _, i := range positions[key] {
-					results[i] = r
-				}
-				progress(len(positions[key]))
+				e.resolveGroup(ctx, unit, rep, positions, results, b, progress)
 			}
 		}()
 	}
@@ -487,129 +449,6 @@ func (b *batch) bump(f func(*Stats)) {
 	b.mu.Unlock()
 }
 
-// resolve returns the cell's result from the cache, an in-flight
-// computation, the store, or by running it, in that order.
-func (e *Engine[R]) resolve(ctx context.Context, c Cell[R], b *batch) (R, error) {
-	for {
-		e.mu.Lock()
-		if r, ok := e.cache[c.Key]; ok {
-			e.mu.Unlock()
-			b.bump(func(s *Stats) { s.CacheHits++ })
-			return r, nil
-		}
-		if f, ok := e.inflight[c.Key]; ok {
-			e.mu.Unlock()
-			if m := e.opts.Metrics; m != nil {
-				m.SingleflightWaits.Inc()
-			}
-			sp := telemetry.StartSpan(ctx, "singleflight-wait", c.Key)
-			select {
-			case <-f.done:
-				sp.End()
-				if f.err == nil {
-					b.bump(func(s *Stats) { s.CacheHits++ })
-					return f.r, nil
-				}
-				// The computing batch failed or was cancelled; its error
-				// is not ours. Loop and try to claim the key ourselves.
-				continue
-			case <-ctx.Done():
-				sp.End()
-				var zero R
-				return zero, ctx.Err()
-			}
-		}
-		f := &flight[R]{done: make(chan struct{})}
-		e.inflight[c.Key] = f
-		e.mu.Unlock()
-
-		r, err := e.compute(ctx, c, b)
-		f.r, f.err = r, err
-		e.mu.Lock()
-		delete(e.inflight, c.Key)
-		e.mu.Unlock()
-		close(f.done)
-		return r, err
-	}
-}
-
-// compute resolves a claimed cell: from the store if present, otherwise
-// by running it under an engine-wide compute token. Successful results
-// enter the cache and (best-effort) the store before the flight is
-// released, so waiters observe a fully persisted cell.
-func (e *Engine[R]) compute(ctx context.Context, c Cell[R], b *batch) (R, error) {
-	var zero R
-	m := e.opts.Metrics
-	if e.store != nil {
-		sp := telemetry.StartSpan(ctx, "store-read", c.Key)
-		r, ok := e.store.load(c.Key)
-		sp.SetAttr("hit", ok)
-		sp.End()
-		if ok {
-			e.mu.Lock()
-			e.cache[c.Key] = r
-			e.mu.Unlock()
-			b.bump(func(s *Stats) { s.StoreHits++ })
-			return r, nil
-		}
-	}
-
-	semStart := time.Now()
-	semSpan := telemetry.StartSpan(ctx, "sem-wait", c.Key)
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		semSpan.End()
-		return zero, ctx.Err()
-	}
-	semSpan.End()
-	if m != nil {
-		m.SemWaitSeconds.Observe(time.Since(semStart).Seconds())
-	}
-	note := &resumeNote{}
-	runStart := time.Now()
-	runSpan := telemetry.StartSpan(ctx, "cell", c.Key)
-	// A panicking cell must not take down the worker pool (and with it
-	// the whole server): convert the panic into an ordinary cell error
-	// carrying the stack, so exactly this batch fails, attributably.
-	r, err := func() (r R, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				b.bump(func(s *Stats) { s.Panics++ })
-				err = fmt.Errorf("engine: cell %q panicked: %v\n%s", c.Key, p, debug.Stack())
-			}
-		}()
-		return c.Run(context.WithValue(ctx, resumeNoteKey{}, note))
-	}()
-	if note.resumed {
-		runSpan.SetAttr("resumed_ticks", note.ticks)
-	}
-	runSpan.End()
-	<-e.sem
-	if err != nil {
-		return zero, err
-	}
-	if m != nil {
-		m.CellSeconds.Observe(time.Since(runStart).Seconds())
-	}
-
-	e.mu.Lock()
-	e.cache[c.Key] = r
-	e.mu.Unlock()
-	b.bump(func(s *Stats) {
-		s.Simulated++
-		s.SimulatedTicks += note.simulated
-		if note.resumed {
-			s.Resumed++
-			s.ResumedTicks += uint64(note.ticks)
-		}
-	})
-	if e.store != nil {
-		e.saveResult(ctx, c.Key, r, b)
-	}
-	return r, nil
-}
-
 // saveResult persists one result to the store, best-effort: a failed
 // write (disk full, permissions) never discards the computed result —
 // the cell stays in the in-memory cache and the failure is tallied.
@@ -632,16 +471,15 @@ func (e *Engine[R]) saveResult(ctx context.Context, key string, r R, b *batch) {
 	}
 }
 
-// resolveGroup resolves a Plan group's cells (ascending horizon) as one
-// coalesced pass, preserving the per-cell resolution semantics exactly:
+// resolveGroup resolves a unit's cells (ascending horizon) as one pass:
 // members already cached are served as cache hits, members in flight in
-// another batch are waited on individually, claimed members are checked
-// against the store, and only what remains is simulated — by a single
-// RunPass to the maximum pending horizon. Every emitted result is
-// cached, persisted, and released to singleflight waiters immediately;
-// on error or cancellation, cells emitted before the failure stay
-// resolved (warm for the retry) and only the unemitted members' flights
-// carry the error.
+// another batch are waited on, claimed members are checked against the
+// store, and only what remains is simulated — by a single Run to the
+// maximum pending horizon. Every emitted result is cached, persisted,
+// and released to singleflight waiters immediately; on error or
+// cancellation, cells emitted before the failure stay resolved (warm
+// for the retry) and only the unemitted members' flights carry the
+// error.
 func (e *Engine[R]) resolveGroup(ctx context.Context, keys []string, rep map[string]Cell[R],
 	positions map[string][]int, results []R, b *batch, progress func(int)) {
 	serve := func(key string, r R) {
@@ -660,7 +498,8 @@ func (e *Engine[R]) resolveGroup(ctx context.Context, keys []string, rep map[str
 			cached[key] = r
 			continue
 		}
-		if _, ok := e.inflight[key]; ok {
+		if f, ok := e.inflight[key]; ok {
+			flights[key] = f
 			deferred = append(deferred, key)
 			continue
 		}
@@ -703,34 +542,53 @@ func (e *Engine[R]) resolveGroup(ctx context.Context, keys []string, rep map[str
 	}
 
 	if len(pass) > 0 {
-		e.runPass(ctx, pass, rep, flights, b, serve)
+		e.runPass(ctx, pass, len(keys) > 1, rep, flights, b, serve)
 	}
 
 	// Members another batch was computing when the pass was formed: wait
-	// on (or, if that batch failed, compute) them individually.
+	// on them, and claim any whose owner failed (its error is not ours)
+	// as a one-member unit.
 	for _, key := range deferred {
 		if b.abortedOrDone(ctx) {
 			return
 		}
-		r, err := e.resolve(ctx, rep[key], b)
-		if err != nil {
-			b.fail(err)
+		if m := e.opts.Metrics; m != nil {
+			m.SingleflightWaits.Inc()
+		}
+		f := flights[key]
+		sp := telemetry.StartSpan(ctx, "singleflight-wait", key)
+		select {
+		case <-f.done:
+			sp.End()
+		case <-ctx.Done():
+			sp.End()
+			b.fail(ctx.Err())
 			return
 		}
-		serve(key, r)
+		if f.err != nil {
+			e.resolveGroup(ctx, []string{key}, rep, positions, results, b, progress)
+			continue
+		}
+		b.bump(func(s *Stats) { s.CacheHits++ })
+		serve(key, f.r)
 	}
 }
 
-// runPass executes one coalesced pass over the pending members, whose
-// flights the caller has already claimed.
-func (e *Engine[R]) runPass(ctx context.Context, pass []string, rep map[string]Cell[R],
+// runPass executes one pass over the pending members, whose flights the
+// caller has already claimed, under one engine-wide compute token.
+// planned marks a pass formed from two or more of the batch's cells; only
+// those count toward Stats.PlannedPasses and Stats.PlannedCells.
+func (e *Engine[R]) runPass(ctx context.Context, pass []string, planned bool, rep map[string]Cell[R],
 	flights map[string]*flight[R], b *batch, serve func(string, R)) {
 	m := e.opts.Metrics
-	group := rep[pass[0]].Plan.Group
-	members := make([]PlanMember, len(pass))
+	group := rep[pass[0]].Group
+	if group == "" {
+		group = pass[0]
+	}
+	members := make([]Member, len(pass))
 	for i, key := range pass {
-		p := rep[key].Plan
-		members[i] = PlanMember{Key: key, Horizon: p.Horizon, Payload: p.Payload}
+		c := rep[key]
+		members[i] = Member{Key: key, Horizon: c.Horizon, Payload: c.Payload}
 	}
 
 	failRest := func(err error, emitted []bool) {
@@ -782,12 +640,20 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, rep map[string]C
 		f := flights[key]
 		f.r = r
 		close(f.done)
-		b.bump(func(s *Stats) { s.Simulated++; s.PlannedCells++ })
+		b.bump(func(s *Stats) {
+			s.Simulated++
+			if planned {
+				s.PlannedCells++
+			}
+		})
 		if e.store != nil {
 			e.saveResult(ctx, key, r, b)
 		}
 		serve(key, r)
 	}
+	// A panicking pass must not take down the worker pool (and with it
+	// the whole server): convert the panic into an ordinary error
+	// carrying the stack, so exactly this batch fails, attributably.
 	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -795,7 +661,7 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, rep map[string]C
 				err = fmt.Errorf("engine: pass %q panicked: %v\n%s", group, p, debug.Stack())
 			}
 		}()
-		return rep[pass[0]].Plan.RunPass(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
+		return rep[pass[0]].Run(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
 	}()
 	if note.resumed {
 		runSpan.SetAttr("resumed_ticks", note.ticks)
@@ -806,7 +672,9 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, rep map[string]C
 		err = fmt.Errorf("engine: pass %q emitted %d of %d members", group, nEmitted, len(members))
 	}
 	b.bump(func(s *Stats) {
-		s.PlannedPasses++
+		if planned {
+			s.PlannedPasses++
+		}
 		s.SimulatedTicks += note.simulated
 		if note.resumed {
 			s.Resumed++

@@ -2,22 +2,37 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"hira/internal/telemetry"
 )
+
+// single builds a lone cell: a one-member pass that emits run's result.
+func single[R any](key string, run func(context.Context) (R, error)) Cell[R] {
+	return Cell[R]{Key: key, Run: func(ctx context.Context, _ []Member, emit func(int, R)) error {
+		r, err := run(ctx)
+		if err != nil {
+			return err
+		}
+		emit(0, r)
+		return nil
+	}}
+}
 
 // countingCell returns a cell whose Run increments runs and returns v.
 func countingCell(key string, v int, runs *atomic.Int64) Cell[int] {
-	return Cell[int]{Key: key, Run: func(context.Context) (int, error) {
+	return single(key, func(context.Context) (int, error) {
 		runs.Add(1)
 		return v, nil
-	}}
+	})
 }
 
 func TestRunPreservesOrder(t *testing.T) {
@@ -94,8 +109,8 @@ func TestErrorAbortsBatch(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	boom := errors.New("boom")
 	cells := []Cell[int]{
-		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
-		{Key: "bad", Run: func(context.Context) (int, error) { return 0, boom }},
+		single("ok", func(context.Context) (int, error) { return 1, nil }),
+		single("bad", func(context.Context) (int, error) { return 0, boom }),
 	}
 	if _, _, err := e.Run(context.Background(), cells); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -108,13 +123,13 @@ func TestErrorAbortsBatch(t *testing.T) {
 func TestFailedCellNotCached(t *testing.T) {
 	e := New[int](Options{Parallelism: 1})
 	calls := 0
-	flaky := Cell[int]{Key: "flaky", Run: func(context.Context) (int, error) {
+	flaky := single("flaky", func(context.Context) (int, error) {
 		calls++
 		if calls == 1 {
 			return 0, errors.New("transient")
 		}
 		return 9, nil
-	}}
+	})
 	if _, _, err := e.Run(context.Background(), []Cell[int]{flaky}); err == nil {
 		t.Fatal("first run should fail")
 	}
@@ -181,12 +196,12 @@ func TestSingleflightAcrossBatches(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	slow := Cell[int]{Key: "shared", Run: func(context.Context) (int, error) {
+	slow := single("shared", func(context.Context) (int, error) {
 		runs.Add(1)
 		once.Do(func() { close(entered) })
 		<-release
 		return 77, nil
-	}}
+	})
 
 	type out struct {
 		r     []int
@@ -229,41 +244,91 @@ func TestSingleflightAcrossBatches(t *testing.T) {
 }
 
 // TestSingleflightFailureHandsOff asserts a waiter does not inherit the
-// computing batch's cancellation: it claims the key and computes it.
+// computing batch's cancellation: it claims the key and computes it as a
+// one-member pass. The waiting batch submits the key either alone or
+// grouped with a second member; grouped, the key is deferred while in
+// flight, the other member's pass runs without it, and the hand-off is
+// its own one-member pass afterwards.
 func TestSingleflightFailureHandsOff(t *testing.T) {
-	e := New[int](Options{Parallelism: 4})
-	entered := make(chan struct{})
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	cell := Cell[int]{Key: "k", Run: func(ctx context.Context) (int, error) {
-		if calls.Add(1) == 1 {
-			// First computation: a long simulation interrupted by its
-			// batch's cancellation.
-			close(entered)
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}
-		return 5, nil
-	}}
+	for _, group := range []string{"", "traj"} {
+		t.Run("group="+group, func(t *testing.T) {
+			m := NewMetrics(telemetry.NewRegistry())
+			e := New[int](Options{Parallelism: 4, Metrics: m})
+			entered := make(chan struct{})
+			ctx1, cancel1 := context.WithCancel(context.Background())
+			defer cancel1()
+			var calls atomic.Int64
+			var mu sync.Mutex
+			var passes [][]string
+			run := func(ctx context.Context, members []Member, emit func(int, int)) error {
+				var keys []string
+				for _, mb := range members {
+					keys = append(keys, mb.Key)
+				}
+				mu.Lock()
+				passes = append(passes, keys)
+				mu.Unlock()
+				for i, mb := range members {
+					if mb.Key == "k" && calls.Add(1) == 1 {
+						// First computation: a long simulation interrupted
+						// by its batch's cancellation.
+						close(entered)
+						<-ctx.Done()
+						return ctx.Err()
+					}
+					emit(i, mb.Horizon)
+				}
+				return nil
+			}
+			k := Cell[int]{Key: "k", Group: group, Horizon: 5, Run: run}
+			second := []Cell[int]{k}
+			if group != "" {
+				second = append(second, Cell[int]{Key: "k2", Group: group, Horizon: 9, Run: run})
+			}
 
-	firstDone := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(ctx1, []Cell[int]{cell})
-		firstDone <- err
-	}()
-	<-entered
-	cancel1() // first batch's cell observes cancellation and fails
-	if err := <-firstDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("first batch err = %v, want context.Canceled", err)
-	}
+			firstDone := make(chan error, 1)
+			go func() {
+				_, _, err := e.Run(ctx1, []Cell[int]{k})
+				firstDone <- err
+			}()
+			<-entered
+			type out struct {
+				r     []int
+				stats Stats
+				err   error
+			}
+			secondDone := make(chan out, 1)
+			go func() {
+				r, s, err := e.Run(context.Background(), second)
+				secondDone <- out{r, s, err}
+			}()
+			for m.SingleflightWaits.Value() == 0 {
+				time.Sleep(time.Millisecond) // until the second batch waits on k
+			}
+			cancel1() // first batch's cell observes cancellation and fails
+			if err := <-firstDone; !errors.Is(err, context.Canceled) {
+				t.Fatalf("first batch err = %v, want context.Canceled", err)
+			}
 
-	// The second batch must not be poisoned by the first's cancellation.
-	got, stats, err := e.Run(context.Background(), []Cell[int]{cell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 5 || stats.Simulated != 1 {
-		t.Errorf("handed-off computation: got %d (stats %+v), want 5 simulated once", got[0], stats)
+			// The second batch must not be poisoned by the first's
+			// cancellation.
+			o := <-secondDone
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			want := []int{5, 9}[:len(second)]
+			if !reflect.DeepEqual(o.r, want) || o.stats.Simulated != uint64(len(second)) {
+				t.Errorf("handed-off batch: got %v (stats %+v), want %v all simulated", o.r, o.stats, want)
+			}
+			if last := passes[len(passes)-1]; !reflect.DeepEqual(last, []string{"k"}) {
+				t.Errorf("hand-off ran as pass %v, want the one-member pass [k]", last)
+			}
+			// Only the pass formed from the two-cell unit counts as
+			// planned; the hand-off is a lone cell's pass.
+			if wantPlanned := uint64(len(second) - 1); o.stats.PlannedPasses != wantPlanned || o.stats.PlannedCells != wantPlanned {
+				t.Errorf("planned tallies %+v, want %d pass and %d cell", o.stats, wantPlanned, wantPlanned)
+			}
+		})
 	}
 }
 
@@ -276,11 +341,11 @@ func TestCancelledRunReturnsCtxErr(t *testing.T) {
 	var once sync.Once
 	var cells []Cell[int]
 	for i := 0; i < 8; i++ {
-		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
+		cells = append(cells, single(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
 			once.Do(func() { close(started) })
 			<-ctx.Done() // a long simulation polling its context
 			return 0, ctx.Err()
-		}})
+		}))
 	}
 	go func() {
 		<-started
@@ -321,10 +386,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var runs atomic.Int64
-	cell := Cell[payload]{Key: "sweep/cap=8", Run: func(context.Context) (payload, error) {
+	cell := single("sweep/cap=8", func(context.Context) (payload, error) {
 		runs.Add(1)
 		return payload{X: []float64{1.5, 2.5}, N: 7}, nil
-	}}
+	})
 
 	e1 := New[payload](Options{Parallelism: 1, ResultDir: dir})
 	first, _, err := e1.Run(context.Background(), []Cell[payload]{cell})
@@ -458,49 +523,17 @@ func TestStoreWriteFailureKeepsResult(t *testing.T) {
 	}
 }
 
-// TestStoreMigratesFlatLayout asserts cells persisted by the
-// pre-sharding flat layout (root/<hash>.json) are moved into shards at
-// startup and served as store hits, so upgraded stores stay warm.
-func TestStoreMigratesFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	var runs atomic.Int64
-	cell := countingCell("legacy-key", 11, &runs)
-
-	// Write the cell where the old flat layout put it.
-	hash := hashKey(cell.Key)
-	data, err := json.Marshal(storedCell[int]{Key: cell.Key, Result: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, hash+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if got := e.StoredCells(); got != 1 {
-		t.Fatalf("startup indexed %d cells from the flat layout, want 1", got)
-	}
-	got, stats, err := e.Run(context.Background(), []Cell[int]{cell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 11 || runs.Load() != 0 || stats.StoreHits != 1 {
-		t.Errorf("migrated cell not served from store: got %d, runs %d, stats %+v", got[0], runs.Load(), stats)
-	}
-	if _, err := os.Stat(filepath.Join(dir, hash+".json")); !os.IsNotExist(err) {
-		t.Error("flat-layout file not moved into its shard")
-	}
-	if files := storeFiles(t, dir); len(files) != 1 {
-		t.Errorf("sharded store has %d files after migration, want 1", len(files))
-	}
-}
-
 // TestStoreIgnoresForeignFiles asserts the index only trusts the sharded
-// layout: stray files in the root (e.g. the pre-sharding flat layout)
-// neither crash startup nor get served.
+// layout: stray files in the root (such as cells of the pre-sharding
+// flat layout) neither crash startup nor get served.
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.json"), []byte(`{"key":"k","result":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An intact, checksummed cell where the flat layout kept it.
+	flat := fmt.Sprintf(`{"key":"k","sum":%q,"result":1}`, sumBytes([]byte("1")))
+	if err := os.WriteFile(filepath.Join(dir, hashKey("k")+".json"), []byte(flat), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(filepath.Join(dir, "not-a-shard"), 0o755); err != nil {
@@ -529,14 +562,14 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	var once sync.Once
 	for i := 0; i < 16; i++ {
 		i := i
-		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
+		cells = append(cells, single(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
 			if i >= 4 {
 				once.Do(func() { close(fired) })
 				<-ctx.Done()
 				return 0, ctx.Err()
 			}
 			return i * 2, nil
-		}})
+		}))
 	}
 	go func() {
 		<-fired
@@ -553,7 +586,7 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	// engine indexes them and a clean run serves them as store hits.
 	for i := range cells {
 		i := i
-		cells[i].Run = func(context.Context) (int, error) { return i * 2, nil }
+		cells[i] = single(cells[i].Key, func(context.Context) (int, error) { return i * 2, nil })
 	}
 	e2 := New[int](Options{Parallelism: 2, ResultDir: dir})
 	got, stats, err := e2.Run(context.Background(), cells)

@@ -15,11 +15,12 @@ import (
 // telemetry CounterFuncs over Engine.Stats(), which samples the
 // authoritative tally at scrape time and can never drift from it.
 type Metrics struct {
-	// CellSeconds observes the wall time of each simulated cell (cache
-	// and store hits are not observed — they answer in microseconds and
+	// CellSeconds observes the wall time of each pass, which is one
+	// simulated cell unless the planner coalesced several (cache and
+	// store hits are not observed — they answer in microseconds and
 	// would drown the simulate distribution).
 	CellSeconds *telemetry.Histogram
-	// SemWaitSeconds observes how long each computed cell waited for an
+	// SemWaitSeconds observes how long each pass waited for an
 	// engine-wide compute token: the queue-ahead-of-simulation signal
 	// that says whether Parallelism, not the machine, bounds throughput.
 	SemWaitSeconds *telemetry.Histogram

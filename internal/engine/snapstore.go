@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -190,9 +189,8 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 			if err != nil {
 				continue
 			}
-			path := filepath.Join(dir, sh.Name(), f.Name())
 			all = append(all, found{
-				e:   &snapEntry{hash: hash, tick: tick, base: base, size: snapPayloadSize(path, info.Size())},
+				e:   &snapEntry{hash: hash, tick: tick, base: base, size: snapPayloadSize(info.Size())},
 				mod: info.ModTime().UnixNano(),
 			})
 		}
@@ -211,9 +209,9 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 // snapshot's own magic and embedded key) catches truncation and wrong-
 // slot payloads but not a bit flip deep inside the state bytes, which
 // would otherwise restore silently wrong simulator state; the envelope
-// makes any corruption a detectable miss. Files written before the
-// envelope existed (or whose prefix itself got corrupted) don't match
-// the magic and pass through to the consumer's checks unchanged.
+// makes any corruption a detectable miss. A file without the envelope
+// (or whose prefix itself got corrupted) is a miss like any other
+// damage.
 var snapSumMagic = []byte("HIRASUM1")
 
 // wrapSnapSum frames a checkpoint payload for disk: magic, SHA-256,
@@ -226,15 +224,11 @@ func wrapSnapSum(data []byte) []byte {
 	return append(out, data...)
 }
 
-// unwrapSnapSum verifies and strips the checksum envelope. Data without
-// the magic is returned as-is (legacy checkpoint, or an envelope whose
-// prefix was itself damaged — downstream structural checks reject it).
+// unwrapSnapSum verifies and strips the checksum envelope; data without
+// an intact envelope is rejected.
 func unwrapSnapSum(raw []byte) ([]byte, bool) {
-	if !bytes.HasPrefix(raw, snapSumMagic) {
-		return raw, true
-	}
 	header := len(snapSumMagic) + sha256.Size
-	if len(raw) < header {
+	if len(raw) < header || !bytes.HasPrefix(raw, snapSumMagic) {
 		return nil, false
 	}
 	sum := sha256.Sum256(raw[header:])
@@ -244,24 +238,13 @@ func unwrapSnapSum(raw []byte) ([]byte, bool) {
 	return raw[header:], true
 }
 
-// snapPayloadSize returns the payload size of the checkpoint file at
-// path: the file size minus the checksum envelope when present, so the
+// snapPayloadSize returns the payload size of a checkpoint file of
+// fileSize bytes: the file size minus the checksum envelope, so the
 // restart index accounts the same bytes the live store did (Stats.Bytes
-// is payload bytes). Probe failures fall back to the raw file size —
-// only eviction-heuristic accounting rides on it.
-func snapPayloadSize(path string, fileSize int64) int64 {
-	f, err := os.Open(path)
-	if err != nil {
-		return fileSize
-	}
-	defer f.Close()
-	magic := make([]byte, len(snapSumMagic))
-	if _, err := io.ReadFull(f, magic); err == nil && bytes.Equal(magic, snapSumMagic) {
-		if ps := fileSize - int64(len(snapSumMagic)+sha256.Size); ps >= 0 {
-			return ps
-		}
-	}
-	return fileSize
+// is payload bytes). A file too short to hold the envelope counts as
+// empty; its first load rejects and drops it.
+func snapPayloadSize(fileSize int64) int64 {
+	return max(fileSize-int64(len(snapSumMagic)+sha256.Size), 0)
 }
 
 // snapFileName parses a checkpoint file name: <64-hex>@<tick>.snap for

@@ -65,25 +65,18 @@ const storeDegradeAfter = 4
 // directory and are left alone.
 const tmpSweepAge = time.Hour
 
-// storedCell is the on-disk JSON schema of one cell result. The full key
-// is stored alongside the result so files are self-describing and a
-// (vanishingly unlikely) hash collision is detected rather than served.
-// Sum is the hex SHA-256 of the raw result bytes: a corrupted file that
-// still parses as JSON (bit rot flipping a digit inside a figure value)
-// must read as a miss, never as a subtly wrong result. Files written
-// before the checksum existed have no sum and are accepted as-is.
-type storedCell[R any] struct {
-	Key    string `json:"key"`
-	Sum    string `json:"sum,omitempty"`
-	Result R      `json:"result"`
-}
-
-// storedWire is storedCell with the result left as raw bytes, so load
-// can verify the checksum over exactly the bytes on disk and save can
-// checksum exactly the bytes it writes.
+// storedWire is the on-disk JSON schema of one cell result, with the
+// result left as raw bytes so load can verify the checksum over exactly
+// the bytes on disk and save can checksum exactly the bytes it writes.
+// The full key is stored alongside the result so files are
+// self-describing and a (vanishingly unlikely) hash collision is
+// detected rather than served. Sum is the hex SHA-256 of the raw result
+// bytes: a corrupted file that still parses as JSON (bit rot flipping a
+// digit inside a figure value) must read as a miss, never as a subtly
+// wrong result. A file without a sum is a miss like any other damage.
 type storedWire struct {
 	Key    string          `json:"key"`
-	Sum    string          `json:"sum,omitempty"`
+	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
 }
 
@@ -94,9 +87,8 @@ func sumBytes(b []byte) string {
 }
 
 // newStore opens (creating if needed) the store rooted at dir and loads
-// its index. Cells written by the pre-sharding flat layout
-// (root/<hash>.json) are migrated into their shards first, so upgraded
-// stores stay warm. Stale *.tmp orphans from crashed writers are swept.
+// its index. Only the sharded layout is indexed: stray files in the root
+// are ignored. Stale *.tmp orphans from crashed writers are swept.
 // An unusable root degrades to an empty index; an unwritable one
 // additionally flips the store into cache-only mode (see the type
 // comment).
@@ -117,18 +109,7 @@ func newStore[R any](dir string, fsys fault.FS) *store[R] {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() {
-			if hash, ok := flatCellName(name); ok {
-				// One-time migration of a flat-layout cell; on any
-				// failure leave it in place (it is simply re-simulated).
-				if os.MkdirAll(filepath.Join(dir, hash[:2]), 0o755) == nil &&
-					os.Rename(filepath.Join(dir, name), s.path(hash)) == nil {
-					s.index[hash] = struct{}{}
-				}
-			}
-			continue
-		}
-		if !isShardName(name) {
+		if !e.IsDir() || !isShardName(name) {
 			continue
 		}
 		files, err := os.ReadDir(filepath.Join(dir, name))
@@ -249,7 +230,7 @@ func (s *store[R]) load(key string) (R, bool) {
 	if err := json.Unmarshal(data, &sc); err != nil || sc.Key != key {
 		return zero, false
 	}
-	if sc.Sum != "" && sumBytes(sc.Result) != sc.Sum {
+	if sumBytes(sc.Result) != sc.Sum {
 		return zero, false
 	}
 	var r R
@@ -269,8 +250,11 @@ func (s *store[R]) degradedReason() (string, bool) {
 // save persists a result via an atomic temp+rename write. In cache-only
 // mode saves are silent no-ops (saved=false, err=nil): the degradation
 // was reported once when the store flipped; failing every remaining
-// cell's save would only repeat it. A failed save counts toward the
-// consecutive-failure flip; a successful one resets the run.
+// cell's save would only repeat it. That includes a save that started
+// before the flip and failed after it — concurrent saves race the
+// flip, and only failures that land while the store is still writable
+// are reported. A failed save counts toward the consecutive-failure
+// flip; a successful one resets the run.
 func (s *store[R]) save(key string, r R) (saved bool, err error) {
 	s.mu.Lock()
 	deg := s.degraded != ""
@@ -289,11 +273,14 @@ func (s *store[R]) save(key string, r R) (saved bool, err error) {
 	hash := hashKey(key)
 	if err := s.fs.WriteFileAtomic(fault.SiteStoreWrite, s.path(hash), data); err != nil {
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.degraded != "" {
+			return false, nil
+		}
 		s.saveFails++
-		if s.saveFails >= storeDegradeAfter && s.degraded == "" {
+		if s.saveFails >= storeDegradeAfter {
 			s.degraded = fmt.Sprintf("%d consecutive save failures, last: %v", s.saveFails, err)
 		}
-		s.mu.Unlock()
 		return false, fmt.Errorf("engine: result store: %w", err)
 	}
 	s.mu.Lock()

@@ -205,14 +205,14 @@ func TestJobTraceTimeline(t *testing.T) {
 	if cold.State != StateDone {
 		t.Fatalf("cold job %s: %s", cold.State, cold.Error)
 	}
-	for _, name := range []string{"queued", "run", "cell", "simulate", "checkpoint-save", "store-write"} {
+	for _, name := range []string{"queued", "run", "pass", "simulate", "checkpoint-save", "store-write"} {
 		if countSpans(cold.ID, name) == 0 {
 			t.Errorf("cold trace has no %q span", name)
 		}
 	}
 
 	// Warm resubmit: every cell answers from the in-memory cache, so the
-	// timeline holds job-level spans only — zero simulate, zero cell.
+	// timeline holds job-level spans only — zero simulate, zero pass.
 	warm, err := c.Run(ctx, testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)

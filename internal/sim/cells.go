@@ -73,29 +73,18 @@ func simCellKey(cfg Config, mix workload.SourceMix, warmup, measure int) string 
 }
 
 // simCell builds the cell that simulates one (config, policy, mix)
-// point on lab's checkpoint policy: the runner resumes from the longest
-// usable checkpoint at or below the requested horizon and writes new
-// checkpoints as it advances, so a warm store answers "same trajectory,
-// longer run" by simulating only the delta.
+// point on lab's checkpoint policy: its pass resumes from the longest
+// usable checkpoint at or below the shortest pending horizon and writes
+// new checkpoints as it advances, so a warm store answers "same
+// trajectory, longer run" by simulating only the delta.
 func simCell(lab *Engine, cfg Config, mix workload.SourceMix, warmup, measure int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
-		Key: simCellKey(cfg, mix, warmup, measure),
-		Run: func(ctx context.Context) (CellResult, error) {
-			res, err := runSimCell(ctx, lab.snaps, lab.snapInterval, cfg, mix, warmup, measure)
-			if err != nil {
-				return CellResult{}, err
-			}
-			out := simCellResult(res)
-			lab.sim.observe(out)
-			return out, nil
-		},
-		Plan: &engine.Plan[CellResult]{
-			Group:   simPlanGroup(cfg, mix),
-			Horizon: warmup + measure,
-			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: warmup, measure: measure},
-			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
-				return runSimPass(ctx, lab, members, emit)
-			},
+		Key:     simCellKey(cfg, mix, warmup, measure),
+		Group:   simPlanGroup(cfg, mix),
+		Horizon: warmup + measure,
+		Payload: simPassPayload{cfg: cfg, mix: mix, warmup: warmup, measure: measure},
+		Run: func(ctx context.Context, members []engine.Member, emit func(int, CellResult)) error {
+			return runSimPass(ctx, lab, members, emit)
 		},
 	}
 }
@@ -131,22 +120,26 @@ type simPassPayload struct {
 	measure int
 }
 
-// runSimPass simulates a group of same-trajectory cells as one
-// coalesced pass: a single machine resumes from the longest checkpoint
-// at or below the group's shortest pending horizon, then walks the
-// sorted warmup and measure boundaries, recording marks at warmup
-// boundaries and emitting each member's finished row at its total
-// horizon — instead of one restore-and-extend round trip per cell.
-// Every emitted row is bit-identical to the per-cell path's: members'
-// results are differences of cumulative counters at exactly the ticks
-// the per-cell runner would have visited, on the identical trajectory.
-func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
+// runSimPass simulates a group of same-trajectory cells (one or more)
+// as one pass: a single machine resumes from the longest checkpoint at
+// or below the group's shortest pending horizon, then walks the sorted
+// warmup and measure boundaries, recording marks at warmup boundaries
+// and emitting each member's finished row at its total horizon —
+// instead of one restore-and-extend round trip per cell. Every emitted
+// row is bit-identical to a cold straight-through run of that cell at
+// any resume point and any checkpoint cadence: the machine's trajectory
+// is deterministic, and measured-phase outputs are differences of
+// cumulative counters (see System.resultSince) taken at exactly the
+// member's warmup and total ticks.
+func runSimPass(ctx context.Context, lab *Engine, members []engine.Member, emit func(int, CellResult)) error {
 	first := members[0].Payload.(simPassPayload)
 	cfg, mix := first.cfg, first.mix
 	snaps := lab.snaps
 	if cfg.Forensics.Enabled || cfg.Policy.Mitigation != "" {
-		// Same rules as runSimCell: forensics ledgers and zoo-engine
-		// tracker state are not checkpointable, so these passes run
+		// The forensics ledger is not part of Snapshot/Restore (it would
+		// double the snapshot size for an opt-in observer), so a resumed
+		// run would under-count; zoo-engine tracker state is not
+		// checkpointable (System.Snapshot refuses it). These passes run
 		// cold — they still coalesce their horizons.
 		snaps = nil
 	}
@@ -174,7 +167,7 @@ func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, e
 			if _, ok := got[p.warmup]; ok {
 				continue
 			}
-			m, ok := ck.loadMark(cfg, mix, p.warmup)
+			m, ok := ck.loadMark(cfg, p.warmup)
 			if !ok {
 				return false
 			}
@@ -240,51 +233,6 @@ func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, e
 		}
 	}
 	return nil
-}
-
-// runSimCell simulates one cell to warmup+measure ticks, resuming from
-// and writing checkpoints when snaps is configured. The result is
-// bit-identical to a cold straight-through run at any resume point and
-// any checkpoint cadence: the machine's trajectory is deterministic, and
-// measured-phase outputs are differences of cumulative counters (see
-// System.resultSince), so they cannot depend on where the run started.
-func runSimCell(ctx context.Context, snaps *engine.SnapStore, interval int,
-	cfg Config, mix workload.SourceMix, warmup, measure int) (Result, error) {
-	total := warmup + measure
-	if cfg.Forensics.Enabled {
-		// The forensics ledger is not part of Snapshot/Restore (it would
-		// double the snapshot size for an opt-in observer), so a resumed
-		// run would under-count. Forensics cells always run cold.
-		snaps = nil
-	}
-	if cfg.Policy.Mitigation != "" {
-		// Zoo-engine tracker state is not checkpointable (System.Snapshot
-		// refuses it); skip the resume scan instead of missing noisily.
-		snaps = nil
-	}
-	ck := checkpointer{snaps: snaps, interval: interval, key: trajectoryKey(cfg, mix)}
-	sys, mark, haveMark := ck.resumeSystem(ctx, cfg, mix, warmup, total)
-	if sys == nil {
-		var err error
-		if sys, err = NewSystem(cfg, mix); err != nil {
-			return Result{}, err
-		}
-	}
-	if !haveMark {
-		if err := ck.runTo(ctx, sys, warmup); err != nil {
-			return Result{}, err
-		}
-		mark = sys.mark()
-		// Checkpoint the warmup boundary even off the interval grid:
-		// future runs that resume past it need the mark's cumulative
-		// counters, which live in exactly this checkpoint.
-		ck.save(ctx, sys)
-	}
-	if err := ck.runTo(ctx, sys, total); err != nil {
-		return Result{}, err
-	}
-	ck.save(ctx, sys)
-	return sys.resultSince(mark, measure), nil
 }
 
 // machine is the tickable state a checkpointer drives: the full System
@@ -358,32 +306,6 @@ func (ck *checkpointer) resumeLongest(ctx context.Context, horizon int, take fun
 	return false
 }
 
-// resumeSystem restores the longest usable System checkpoint at or below
-// total ticks. A checkpoint past the warmup boundary is usable only when
-// the boundary itself is checkpointed (its cumulative counters are the
-// measured phase's baseline), and both snapshots must carry exactly the
-// tick they are indexed under — a mislabeled file must not poison the
-// result.
-func (ck *checkpointer) resumeSystem(ctx context.Context, cfg Config, mix workload.SourceMix, warmup, total int) (sys *System, mark runMark, haveMark bool) {
-	ck.resumeLongest(ctx, total, func(t int, data []byte) bool {
-		s, depth, err := ck.restoreChain(cfg, mix, t, data)
-		if err != nil || s.Ticks() != t {
-			return false
-		}
-		if t > warmup {
-			m, ok := ck.loadMark(cfg, mix, warmup)
-			if !ok {
-				return false
-			}
-			mark, haveMark = m, true
-		}
-		sys = s
-		ck.lastTick, ck.depth = t, depth
-		return true
-	})
-	return sys, mark, haveMark
-}
-
 // restoreChain restores the checkpoint stored at tick, following delta
 // links down to their full base and replaying them ascending. It
 // returns the restored machine and the chain length (0 for a full
@@ -428,10 +350,10 @@ func (ck *checkpointer) restoreChain(cfg Config, mix workload.SourceMix, tick in
 	return sys, len(chain), nil
 }
 
-// loadMark obtains the cumulative counters at the warmup boundary from
-// the store: straight from a v2 checkpoint's header, or by a full
-// decode for a legacy v1 snapshot. A zero warmup needs no checkpoint.
-func (ck *checkpointer) loadMark(cfg Config, mix workload.SourceMix, warmup int) (runMark, bool) {
+// loadMark obtains the cumulative counters at the warmup boundary
+// straight from the stored checkpoint's header, without decoding the
+// machine. A zero warmup needs no checkpoint.
+func (ck *checkpointer) loadMark(cfg Config, warmup int) (runMark, bool) {
 	if warmup == 0 {
 		return zeroMark(cfg.Cores), true
 	}
@@ -439,23 +361,11 @@ func (ck *checkpointer) loadMark(cfg Config, mix workload.SourceMix, warmup int)
 	if !ok {
 		return runMark{}, false
 	}
-	key, mtick, m, ok, err := readSnapshotMark(mdata, cfg.Cores)
-	if err != nil {
+	key, mtick, m, err := readSnapshotMark(mdata, cfg.Cores)
+	if err != nil || key != ck.key || mtick != warmup {
 		return runMark{}, false
 	}
-	if ok {
-		if key != ck.key || mtick != warmup {
-			return runMark{}, false
-		}
-		return m, true
-	}
-	// Legacy v1 snapshot: no mark section, so the counters require a
-	// full decode.
-	ms, err := RestoreSystem(cfg, mix, mdata)
-	if err != nil || ms.Ticks() != warmup {
-		return runMark{}, false
-	}
-	return ms.mark(), true
+	return m, true
 }
 
 // runTo advances m to the target tick, checkpointing every interval
@@ -535,45 +445,6 @@ func (ck *checkpointer) save(ctx context.Context, m machine) {
 	}
 }
 
-// runAloneCell computes one alone-IPC reference, resuming from and
-// writing checkpoints like runSimCell. The alone result is cumulative
-// (no warmup mark), so any checkpoint at or below the horizon resumes
-// it. Unlike sim cells, alone runs checkpoint only their final tick:
-// a single-core reference simulates ticks about as fast as a checkpoint
-// encodes, so grid checkpoints would cost more than they could ever
-// save, while the final state is exactly what horizon extensions resume
-// from.
-func runAloneCell(ctx context.Context, snaps *engine.SnapStore, interval int,
-	src workload.Source, seed uint64, ticks int) (float64, error) {
-	ck := checkpointer{snaps: snaps, interval: interval, key: aloneTrajectoryKey(src, seed)}
-	var a *aloneRun
-	ck.resumeLongest(ctx, ticks, func(t int, data []byte) bool {
-		r, err := restoreAloneRun(src, seed, data)
-		if err != nil || r.Ticks() != t {
-			return false
-		}
-		a = r
-		return true
-	})
-	if a == nil {
-		a = newAloneRun(src, seed)
-	}
-	if a.Ticks() < ticks {
-		sp := telemetry.StartSpan(ctx, "simulate", ck.key)
-		sp.SetAttr("from", a.Ticks())
-		sp.SetAttr("to", ticks)
-		before := a.Ticks()
-		err := a.RunTo(ctx, ticks)
-		engine.MarkSimulated(ctx, a.Ticks()-before)
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-	}
-	ck.save(ctx, a)
-	return a.ipc(), nil
-}
-
 // alonePassPayload carries one alone cell's inputs to its group's pass.
 type alonePassPayload struct {
 	src   workload.Source
@@ -582,12 +453,17 @@ type alonePassPayload struct {
 }
 
 // runAlonePass computes a group of same-trajectory alone-IPC references
-// in one coalesced pass: the reference machine resumes once (at or
-// below the shortest pending horizon), then visits each member's tick
-// count ascending, checkpointing and emitting the cumulative IPC at
-// every boundary. Alone results are cumulative, so each boundary's
-// value is identical to what a per-cell run stopping there reports.
-func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
+// (one or more) in one pass: the reference machine resumes once from
+// the longest checkpoint at or below the shortest pending horizon, then
+// visits each member's tick count ascending, checkpointing and emitting
+// the cumulative IPC at every boundary. Alone results are cumulative (no
+// warmup mark), so each boundary's value is identical to what a cold run
+// stopping there reports. Unlike sim passes, alone passes checkpoint
+// only their members' ticks: a single-core reference simulates ticks
+// about as fast as a checkpoint encodes, so grid checkpoints would cost
+// more than they could ever save, while the final state is exactly what
+// horizon extensions resume from.
+func runAlonePass(ctx context.Context, lab *Engine, members []engine.Member, emit func(int, CellResult)) error {
 	first := members[0].Payload.(alonePassPayload)
 	src, seed := first.src, first.seed
 	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(src, seed)}
@@ -636,21 +512,12 @@ func aloneCellKey(src workload.Source, seed uint64, ticks int) string {
 // policy like simCell.
 func aloneCell(lab *Engine, src workload.Source, seed uint64, ticks int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
-		Key: aloneCellKey(src, seed, ticks),
-		Run: func(ctx context.Context) (CellResult, error) {
-			alone, err := runAloneCell(ctx, lab.snaps, lab.snapInterval, src, seed, ticks)
-			if err != nil {
-				return CellResult{}, err
-			}
-			return CellResult{Alone: alone}, nil
-		},
-		Plan: &engine.Plan[CellResult]{
-			Group:   "alone " + aloneTrajectoryKey(src, seed),
-			Horizon: ticks,
-			Payload: alonePassPayload{src: src, seed: seed, ticks: ticks},
-			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
-				return runAlonePass(ctx, lab, members, emit)
-			},
+		Key:     aloneCellKey(src, seed, ticks),
+		Group:   "alone " + aloneTrajectoryKey(src, seed),
+		Horizon: ticks,
+		Payload: alonePassPayload{src: src, seed: seed, ticks: ticks},
+		Run: func(ctx context.Context, members []engine.Member, emit func(int, CellResult)) error {
+			return runAlonePass(ctx, lab, members, emit)
 		},
 	}
 }

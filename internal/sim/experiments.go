@@ -193,12 +193,6 @@ type Options struct {
 	// (simulated vs cache/store hits) across the sweep.
 	Stats *EngineStats
 
-	// NoPlanner disables the engine's trajectory-coalescing sweep
-	// planner for this sweep, resolving every cell individually.
-	// Results are bit-identical either way; this is an escape hatch for
-	// debugging and for measuring the planner's savings.
-	NoPlanner bool
-
 	// Forensics runs every simulation cell with the RowHammer forensics
 	// ledger enabled and attaches per-policy forensics summaries to the
 	// results. Purely observational (figures are bit-identical), but
@@ -276,10 +270,6 @@ type EngineConfig struct {
 	// through a fault-injection seam (see internal/fault) — armed by
 	// chaos tests and hira-server's -faults flag, nil everywhere else.
 	FS fault.FS
-	// NoPlanner disables the trajectory-coalescing sweep planner for
-	// every sweep run on this engine (per-sweep opt-outs use
-	// Options.NoPlanner). Results are bit-identical either way.
-	NoPlanner bool
 }
 
 // NewEngine builds a shared experiment engine.
@@ -288,7 +278,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		Parallelism: cfg.Parallelism,
 		ResultDir:   cfg.ResultDir,
 		FS:          cfg.FS,
-		NoPlanner:   cfg.NoPlanner,
 	}
 	if cfg.Telemetry != nil {
 		opts.Metrics = engine.NewMetrics(cfg.Telemetry)
@@ -508,7 +497,6 @@ func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies
 	results, batch, err := lab.eng.RunWith(ctx, cells, engine.RunOptions{
 		OnProgress:      opts.Progress,
 		OnProgressStats: opts.ProgressStats,
-		NoPlanner:       opts.NoPlanner,
 	})
 	if opts.Stats != nil {
 		opts.Stats.Add(batch)

@@ -25,11 +25,108 @@ func plannerTestPolicies() []RefreshPolicy {
 	}
 }
 
+// oracleSimCell computes one sim cell straight through: a cold machine
+// runs to the warmup boundary, marks it, and runs on to the horizon — no
+// engine, no pass, no checkpointer — so it shares no code with the pass
+// runner it is the reference for.
+func oracleSimCell(t testing.TB, cfg Config, mix workload.SourceMix, warmup, measure int) CellResult {
+	t.Helper()
+	ctx := context.Background()
+	sys, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(ctx, warmup); err != nil {
+		t.Fatal(err)
+	}
+	m := sys.mark()
+	if err := sys.RunTo(ctx, warmup+measure); err != nil {
+		t.Fatal(err)
+	}
+	return simCellResult(sys.resultSince(m, measure))
+}
+
+// oracleAloneCell computes one alone-IPC reference straight through.
+func oracleAloneCell(t testing.TB, src workload.Source, seed uint64, ticks int) CellResult {
+	t.Helper()
+	a := newAloneRun(src, seed)
+	if err := a.RunTo(context.Background(), ticks); err != nil {
+		t.Fatal(err)
+	}
+	return CellResult{Alone: a.ipc()}
+}
+
+// assertSweepMatchesOracle proves every cell of a policies-by-horizons
+// sweep already run on lab is bit-identical to its straight-through
+// oracle: it resubmits the sweep's cells (served from lab's cache,
+// never recomputed) and compares each with reflect.DeepEqual. It
+// returns the machine work, in ticks, of resolving the sweep's unique
+// cells one cold run each, and of running each trajectory once to its
+// longest horizon.
+func assertSweepMatchesOracle(t *testing.T, lab *Engine, base Config, policies []RefreshPolicy, opts Options, measures []int) (perCell, perTrajectory uint64) {
+	t.Helper()
+	opts = opts.withDefaults()
+	mixes, err := opts.sourceMixes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []engine.Cell[CellResult]
+	var want []CellResult
+	seen := map[string]bool{}
+	longest := map[string]int{}
+	add := func(c engine.Cell[CellResult], oracle func() CellResult) {
+		if seen[c.Key] {
+			return
+		}
+		seen[c.Key] = true
+		cells = append(cells, c)
+		want = append(want, oracle())
+		perCell += uint64(c.Horizon)
+		longest[c.Group] = max(longest[c.Group], c.Horizon)
+	}
+	for _, measure := range measures {
+		for _, mix := range mixes {
+			for c, src := range mix.Sources {
+				seed := aloneRefSeed(src, opts.Seed, c)
+				add(aloneCell(lab, src, seed, measure), func() CellResult { return oracleAloneCell(t, src, seed, measure) })
+			}
+		}
+		for _, pol := range policies {
+			cfg := base
+			cfg.Cores = opts.Cores
+			cfg.Policy = pol
+			cfg.Seed = opts.Seed
+			cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
+			for _, mix := range mixes {
+				add(simCell(lab, cfg, mix, opts.Warmup, measure), func() CellResult {
+					return oracleSimCell(t, cfg, mix, opts.Warmup, measure)
+				})
+			}
+		}
+	}
+	for _, h := range longest {
+		perTrajectory += uint64(h)
+	}
+	got, stats, err := lab.eng.Run(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Simulated != 0 {
+		t.Fatalf("resubmitted sweep simulated %d cells; the sweep left them unresolved", stats.Simulated)
+	}
+	for i, c := range cells {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("cell %q diverged from the straight-through oracle:\nengine: %+v\noracle: %+v", c.Key, got[i], want[i])
+		}
+	}
+	return perCell, perTrajectory
+}
+
 // TestPlannerDifferential proves the tentpole guarantee: a multi-horizon
-// sweep resolved by the trajectory-coalescing planner produces rows
-// bit-identical to the per-cell path, across all six figure policies,
-// while doing measurably less machine work (simulated plus
-// checkpoint-restored ticks).
+// sweep resolved by the trajectory-coalescing planner produces cells
+// bit-identical to straight-through runs, across all six figure
+// policies, while each trajectory simulates once to its longest horizon
+// instead of once per cell.
 func TestPlannerDifferential(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -41,42 +138,28 @@ func TestPlannerDifferential(t *testing.T) {
 	var planned EngineStats
 	pOpts := opts
 	pOpts.Stats = &planned
-	got, err := NewEngine(EngineConfig{SnapInterval: 1500}).
-		RunPoliciesHorizons(ctx, base, policies, pOpts, measures)
-	if err != nil {
+	lab := NewEngine(EngineConfig{SnapInterval: 1500})
+	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, pOpts, measures); err != nil {
 		t.Fatal(err)
 	}
-
-	var unplanned EngineStats
-	uOpts := opts
-	uOpts.Stats = &unplanned
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1500}).
-		RunPoliciesHorizons(ctx, base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planned rows diverged from per-cell path:\nplanned:   %+v\nunplanned: %+v", got, want)
-	}
+	perCell, perTrajectory := assertSweepMatchesOracle(t, lab, base, policies, opts, measures)
 	if planned.PlannedPasses == 0 || planned.PlannedCells == 0 {
 		t.Fatalf("planner did not engage: %+v", planned)
 	}
-	// The planner's savings: each trajectory simulates once to its max
-	// horizon, instead of one restore-and-extend (or cold rerun) per
-	// horizon. Simulated + restored ticks is the total machine work.
-	plannedWork := planned.SimulatedTicks + planned.ResumedTicks
-	unplannedWork := unplanned.SimulatedTicks + unplanned.ResumedTicks
-	if plannedWork >= unplannedWork {
-		t.Fatalf("planned work %d ticks >= unplanned %d", plannedWork, unplannedWork)
+	// The planner's savings: simulated plus checkpoint-restored ticks is
+	// the total machine work, and on a cold engine it is exactly one run
+	// per trajectory to its longest horizon.
+	work := planned.SimulatedTicks + planned.ResumedTicks
+	if work != perTrajectory || work >= perCell {
+		t.Fatalf("planned work %d ticks, want %d (one run per trajectory) and below %d (one run per cell)",
+			work, perTrajectory, perCell)
 	}
 }
 
 // TestPlannerDifferentialForensicsAndMitigation extends the differential
 // to the cell kinds that cannot checkpoint: forensics-armed cells and
 // mitigation-zoo policies run their passes cold, but still coalesce and
-// still must match the per-cell path exactly.
+// still must match straight-through runs exactly.
 func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -85,27 +168,17 @@ func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	measures := []int{2000, 4000}
 	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 3, Forensics: true}
 
-	got, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(ctx, base, policies, opts, measures)
-	if err != nil {
+	lab := NewEngine(EngineConfig{SnapInterval: 1000})
+	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, opts, measures); err != nil {
 		t.Fatal(err)
 	}
-	uOpts := opts
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(ctx, base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planned forensics/mitigation rows diverged:\nplanned:   %+v\nunplanned: %+v", got, want)
-	}
+	assertSweepMatchesOracle(t, lab, base, policies, opts, measures)
 }
 
 // TestPlannerWarmStoreReplay proves pass-emitted rows live under their
-// original per-cell keys: a planned sweep fully warms the store for the
-// per-cell path and vice versa, so switching the planner on or off
-// never re-simulates a stored cell.
+// own per-cell keys: a planned multi-horizon sweep fully warms the
+// result store, so replaying each horizon as its own single-horizon
+// sweep on a fresh engine simulates nothing and reproduces the rows.
 func TestPlannerWarmStoreReplay(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -113,28 +186,28 @@ func TestPlannerWarmStoreReplay(t *testing.T) {
 	policies := []RefreshPolicy{BaselinePolicy(), HiRAPeriodicPolicy(2)}
 	measures := []int{2000, 5000}
 	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 1}
+	dir := t.TempDir()
 
-	for _, firstPlanned := range []bool{true, false} {
-		e := NewEngine(EngineConfig{SnapInterval: 1000})
-		first := opts
-		first.NoPlanner = !firstPlanned
-		rows, err := e.RunPoliciesHorizons(ctx, base, policies, first, measures)
-		if err != nil {
-			t.Fatal(err)
-		}
+	rows, err := NewEngine(EngineConfig{ResultDir: dir, SnapInterval: 1000}).
+		RunPoliciesHorizons(ctx, base, policies, opts, measures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := NewEngine(EngineConfig{ResultDir: dir, SnapInterval: 1000})
+	for i, measure := range measures {
 		var again EngineStats
-		second := opts
-		second.NoPlanner = firstPlanned
-		second.Stats = &again
-		rows2, err := e.RunPoliciesHorizons(ctx, base, policies, second, measures)
+		one := opts
+		one.Measure = measure
+		one.Stats = &again
+		got, err := replay.RunPolicies(ctx, base, policies, one)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Simulated != 0 {
-			t.Fatalf("replay (planned first: %t) re-simulated %d cells: %+v", firstPlanned, again.Simulated, again)
+			t.Fatalf("replay of measure %d re-simulated %d cells: %+v", measure, again.Simulated, again)
 		}
-		if !reflect.DeepEqual(rows, rows2) {
-			t.Fatalf("replay rows diverged (planned first: %t)", firstPlanned)
+		if !reflect.DeepEqual(got, rows[i]) {
+			t.Fatalf("replay rows diverged at measure %d", measure)
 		}
 	}
 }
@@ -142,7 +215,7 @@ func TestPlannerWarmStoreReplay(t *testing.T) {
 // TestPlannerPassCancellation proves a cancelled coalesced pass keeps
 // the rows it already emitted: cancelling right after the first
 // member's emission fails the pass, but that member's row is final and
-// bit-identical to its per-cell result.
+// bit-identical to a straight-through run.
 func TestPlannerPassCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 2
@@ -154,7 +227,7 @@ func TestPlannerPassCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	members := []engine.PlanMember{
+	members := []engine.Member{
 		{Key: simCellKey(cfg, mix, 1000, 3000), Horizon: 4000,
 			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 1000, measure: 3000}},
 		{Key: simCellKey(cfg, mix, 2000, 10000), Horizon: 12000,
@@ -171,13 +244,9 @@ func TestPlannerPassCancellation(t *testing.T) {
 	if len(emitted) != 1 {
 		t.Fatalf("cancelled pass emitted %d rows, want 1", len(emitted))
 	}
-	ref, err := runSimCell(context.Background(), nil, 0, cfg, mix, 1000, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(emitted[0], simCellResult(ref)) {
-		t.Fatalf("row emitted before cancellation diverged from per-cell path:\npass: %+v\ncell: %+v",
-			emitted[0], simCellResult(ref))
+	if ref := oracleSimCell(t, cfg, mix, 1000, 3000); !reflect.DeepEqual(emitted[0], ref) {
+		t.Fatalf("row emitted before cancellation diverged from a straight-through run:\npass:   %+v\noracle: %+v",
+			emitted[0], ref)
 	}
 }
 
@@ -208,30 +277,37 @@ func TestPlannerBatchCancellation(t *testing.T) {
 	var again EngineStats
 	rOpts := opts
 	rOpts.Stats = &again
-	rows, err := e.RunPoliciesHorizons(context.Background(), base, policies, rOpts, measures)
-	if err != nil {
+	if _, err := e.RunPoliciesHorizons(context.Background(), base, policies, rOpts, measures); err != nil {
 		t.Fatal(err)
 	}
 	if again.CacheHits+again.StoreHits == 0 {
 		t.Fatalf("cancellation kept no resolved rows: %+v", again)
 	}
-	uOpts := opts
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(context.Background(), base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatal("rows after cancellation + resubmit diverged from per-cell path")
-	}
+	assertSweepMatchesOracle(t, e, base, policies, opts, measures)
+}
+
+// resumeChain restores the longest checkpoint of ck's trajectory at or
+// below horizon through its delta chain and seeds ck's delta epoch from
+// it, as a pass's resume does; nil when nothing restores.
+func resumeChain(ctx context.Context, ck *checkpointer, cfg Config, mix workload.SourceMix, horizon int) *System {
+	var sys *System
+	ck.resumeLongest(ctx, horizon, func(t int, data []byte) bool {
+		s, depth, err := ck.restoreChain(cfg, mix, t, data)
+		if err != nil || s.Ticks() != t {
+			return false
+		}
+		sys = s
+		ck.lastTick, ck.depth = t, depth
+		return true
+	})
+	return sys
 }
 
 // TestDeltaCheckpointChain proves the differential-checkpoint format
 // end to end at the checkpointer layer: interval saves after the first
 // are deltas, a fresh checkpointer restores through the chain to state
 // byte-identical to a straight run, and continuing the restored machine
-// reproduces the per-cell result exactly.
+// reproduces the straight-through result exactly.
 func TestDeltaCheckpointChain(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -259,10 +335,11 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	}
 
 	ck2 := &checkpointer{snaps: snaps, interval: 1000, key: ck.key}
-	sys2, mark, haveMark := ck2.resumeSystem(ctx, cfg, mix, 2000, 6000)
+	sys2 := resumeChain(ctx, ck2, cfg, mix, 6000)
 	if sys2 == nil || sys2.Ticks() != 5000 {
 		t.Fatalf("chain resume failed (got %v)", sys2)
 	}
+	mark, haveMark := ck2.loadMark(cfg, 2000)
 	if !haveMark {
 		t.Fatal("warmup mark not recovered from delta checkpoint header")
 	}
@@ -292,12 +369,8 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	if err := ck2.runTo(ctx, sys2, 6000); err != nil {
 		t.Fatal(err)
 	}
-	got := sys2.resultSince(mark, 4000)
-	cold, err := runSimCell(ctx, nil, 0, cfg, mix, 2000, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, cold) {
+	got := simCellResult(sys2.resultSince(mark, 4000))
+	if cold := oracleSimCell(t, cfg, mix, 2000, 4000); !reflect.DeepEqual(got, cold) {
 		t.Fatalf("chain-resumed result diverged:\nresumed: %+v\ncold:    %+v", got, cold)
 	}
 }
@@ -330,7 +403,7 @@ func TestDeltaChainBounded(t *testing.T) {
 	}
 	// The whole chain (including past the forced full) must restore.
 	ck2 := &checkpointer{snaps: snaps, interval: 500, key: ck.key}
-	sys2, _, _ := ck2.resumeSystem(ctx, cfg, mix, 0, 6000)
+	sys2 := resumeChain(ctx, ck2, cfg, mix, 6000)
 	if sys2 == nil || sys2.Ticks() != 6000 {
 		t.Fatalf("resume across forced-full boundary failed (got %v)", sys2)
 	}

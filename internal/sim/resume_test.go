@@ -5,13 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"hira/internal/engine"
 	"hira/internal/workload"
 )
 
 // TestResumableCells proves the engine-level guarantee: on a warm
 // checkpoint store, extending a sweep's horizons simulates only the
 // delta — the engine reports the cells as partially resumed — and the
-// results are bit-identical to a cold straight-through run.
+// cells are bit-identical to cold straight-through runs.
 func TestResumableCells(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -33,24 +34,14 @@ func TestResumableCells(t *testing.T) {
 		t.Fatalf("no checkpoints written: %+v", snapStats)
 	}
 
-	// Cold reference for the long run (checkpointing on, nothing stored):
-	// results must not depend on resume at all.
-	coldScores, err := NewEngine(EngineConfig{SnapInterval: interval}).
-		RunPolicies(ctx, base, policies, long)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var stats EngineStats
 	longOpts := long
 	longOpts.Stats = &stats
-	warmScores, err := warm.RunPolicies(ctx, base, policies, longOpts)
-	if err != nil {
+	if _, err := warm.RunPolicies(ctx, base, policies, longOpts); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warmScores, coldScores) {
-		t.Fatalf("resumed scores diverged from cold run:\nwarm: %+v\ncold: %+v", warmScores, coldScores)
-	}
+	// Results must not depend on resume at all.
+	assertSweepMatchesOracle(t, warm, base, policies, long, []int{long.Measure})
 
 	// Every simulated cell — full-system and alone-IPC reference alike —
 	// must have resumed from the short run's checkpoints rather than
@@ -100,21 +91,20 @@ func TestResumableCellsSplitIndependence(t *testing.T) {
 	warm := NewEngine(EngineConfig{SnapInterval: interval})
 
 	// First run fixes the trajectory's checkpoints, including tick 6000.
-	if _, err := runSimCell(ctx, warm.snaps, interval, cfg, mix, 2000, 4000); err != nil {
+	if _, _, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, 2000, 4000)}); err != nil {
 		t.Fatal(err)
 	}
 	// A different split whose warmup (3000) sits on the checkpoint grid:
-	// the runner restores tick 3000 for the mark and tick 6000 for the
-	// state, simulating only 6000..7000.
-	got, err := runSimCell(ctx, warm.snaps, interval, cfg, mix, 3000, 4000)
+	// the one-member pass restores tick 3000 for the mark and tick 6000
+	// for the state, simulating only 6000..7000.
+	got, stats, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, 3000, 4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := runSimCell(ctx, nil, 0, cfg, mix, 3000, 4000)
-	if err != nil {
-		t.Fatal(err)
+	if stats.ResumedTicks != 6000 || stats.SimulatedTicks != 1000 {
+		t.Fatalf("split run resumed %d and simulated %d ticks, want 6000 and 1000", stats.ResumedTicks, stats.SimulatedTicks)
 	}
-	if !reflect.DeepEqual(got, cold) {
-		t.Fatalf("split-resumed result diverged from cold:\nwarm: %+v\ncold: %+v", got, cold)
+	if cold := oracleSimCell(t, cfg, mix, 3000, 4000); !reflect.DeepEqual(got[0], cold) {
+		t.Fatalf("split-resumed result diverged from cold:\nwarm: %+v\ncold: %+v", got[0], cold)
 	}
 }

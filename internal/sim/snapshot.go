@@ -16,12 +16,9 @@ import (
 // past-warmup resume reads its warmup mark straight from the header
 // instead of restoring a full second System. The composite format is
 // versioned as a whole: any structural change to a layer's codec bumps
-// this string. Version 1 snapshots are still accepted as full decodes.
+// this string. Checkpoints in any other format are rejected; the store
+// is a cache, so a rejected checkpoint costs one re-simulation.
 const snapshotMagic = "HIRASYS2"
-
-// snapshotMagicV1 identifies the legacy full-snapshot format (no mark
-// section); RestoreSystem keeps reading it so stores survive upgrades.
-const snapshotMagicV1 = "HIRASYS1"
 
 // deltaMagic identifies version 1 of the differential snapshot format:
 // the v2 header (trajectory key, tick, mark section) plus the chain
@@ -111,7 +108,7 @@ func (s *System) Snapshot() ([]byte, error) {
 // scheduler counters (via the controller codec) and each core's
 // retirement count — exactly the state mark()/resultSince need at a
 // warmup boundary. The forensics tally is deliberately absent: cells
-// with forensics enabled never checkpoint (runSimCell disables the
+// with forensics enabled never checkpoint (runSimPass disables the
 // snapshot store for them), so every stored snapshot's tally is zero.
 func (s *System) snapshotMark(w *snap.Writer) {
 	sched.SnapshotStats(w, s.ctrl.Stats)
@@ -303,12 +300,7 @@ func RestoreSystem(cfg Config, mix workload.SourceMix, data []byte) (*System, er
 	if len(data) > maxSnapshotBytes {
 		return nil, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
 	}
-	var v2 bool
-	switch {
-	case hasMagic(data, snapshotMagic):
-		v2 = true
-	case hasMagic(data, snapshotMagicV1):
-	default:
+	if !hasMagic(data, snapshotMagic) {
 		return nil, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
 	}
 	s, err := NewSystem(cfg, mix)
@@ -320,10 +312,8 @@ func RestoreSystem(cfg Config, mix workload.SourceMix, data []byte) (*System, er
 		return nil, fmt.Errorf("sim: snapshot is for a different trajectory (%q)", key)
 	}
 	s.ticksRun = r.Int()
-	if v2 {
-		if _, err := readMarkSection(r, cfg.Cores); err != nil {
-			return nil, err
-		}
+	if _, err := readMarkSection(r, cfg.Cores); err != nil {
+		return nil, err
 	}
 	if err := s.restoreBody(r, false); err != nil {
 		return nil, err
@@ -360,34 +350,28 @@ func readMarkSection(r *snap.Reader, cores int) (runMark, error) {
 	return m, r.Err()
 }
 
-// readSnapshotMark decodes only the header of a v2 full or delta
-// snapshot: its trajectory key, tick, and mark. It reports ok=false
-// with a nil error for legacy v1 snapshots, whose mark requires a full
-// decode. This is what makes a past-warmup resume cheap: the warmup
-// mark is 14 counters plus per-core retirement counts, not a second
-// restored System.
-func readSnapshotMark(data []byte, cores int) (key string, tick int, m runMark, ok bool, err error) {
+// readSnapshotMark decodes only the header of a full or delta
+// snapshot: its trajectory key, tick, and mark. This is what makes a
+// past-warmup resume cheap: the warmup mark is 14 counters plus
+// per-core retirement counts, not a second restored System.
+func readSnapshotMark(data []byte, cores int) (key string, tick int, m runMark, err error) {
 	if len(data) > maxSnapshotBytes {
-		return "", 0, runMark{}, false, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
+		return "", 0, runMark{}, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
 	}
-	switch {
-	case hasMagic(data, snapshotMagic), hasMagic(data, deltaMagic):
-	case hasMagic(data, snapshotMagicV1):
-		return "", 0, runMark{}, false, nil
-	default:
-		return "", 0, runMark{}, false, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
+	if !hasMagic(data, snapshotMagic) && !hasMagic(data, deltaMagic) {
+		return "", 0, runMark{}, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
 	}
 	r := snap.NewReader(data[len(snapshotMagic):])
 	key = r.String()
 	tick = r.Int()
 	m, err = readMarkSection(r, cores)
 	if err != nil {
-		return "", 0, runMark{}, false, err
+		return "", 0, runMark{}, err
 	}
 	if tick < 0 {
-		return "", 0, runMark{}, false, fmt.Errorf("sim: snapshot tick count %d out of range", tick)
+		return "", 0, runMark{}, fmt.Errorf("sim: snapshot tick count %d out of range", tick)
 	}
-	return key, tick, m, true, nil
+	return key, tick, m, nil
 }
 
 // readDeltaHeader parses a differential snapshot's identity and chain

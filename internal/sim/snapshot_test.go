@@ -214,7 +214,8 @@ func fuzzSnapshotConfig() (Config, workload.SourceMix) {
 // FuzzSnapshotDecode holds RestoreSystem to the FuzzTraceRead contract:
 // corrupt or truncated checkpoints are clean misses — they never panic,
 // allocation stays bounded by the input, and anything that does decode
-// yields a machine that survives being run.
+// yields a machine that survives being run. Snapshots of the retired v1
+// format ("HIRASYS1") are always clean misses, however well formed.
 func FuzzSnapshotDecode(f *testing.F) {
 	cfg, mix := fuzzSnapshotConfig()
 	sys, err := NewSystem(cfg, mix)
@@ -232,6 +233,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("HIRASYS1\x00\x00\x00\x00"))
+	f.Add(append([]byte("HIRASYS1"), seed[len(snapshotMagic):]...))
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/3] ^= 0x40
 	f.Add(mut)
@@ -239,6 +241,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		restored, err := RestoreSystem(cfg, mix, data)
 		if err != nil {
 			return // clean miss
+		}
+		if hasMagic(data, "HIRASYS1") {
+			t.Fatal("v1 snapshot restored")
 		}
 		// A snapshot that passed validation must be safe to simulate.
 		for i := 0; i < 64; i++ {

@@ -36,8 +36,9 @@ const DefaultMaxSpans = 1 << 17
 // Span is one recorded interval, offsets relative to the trace start.
 type Span struct {
 	// Name is the phase: "queued", "run", "singleflight-wait",
-	// "sem-wait", "store-read", "cell", "checkpoint-lookup",
-	// "simulate", "checkpoint-save", "store-write".
+	// "sem-wait", "store-read", "pass" (one engine pass, with a
+	// "members" attribute), "checkpoint-lookup", "simulate",
+	// "checkpoint-save", "store-write".
 	Name string `json:"name"`
 	// Scope identifies what the span covers (a cell key, a trajectory
 	// key), empty for job-level spans.
